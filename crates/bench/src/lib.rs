@@ -7,7 +7,8 @@
 //!   tests and CI.
 //! * `paper` (default) — a run sized to make the paper's qualitative
 //!   comparison meaningful on a laptop (still far smaller than the paper's
-//!   multi-hour testbed runs; EXPERIMENTS.md discusses the difference).
+//!   multi-hour testbed runs; README's "Paper mapping" table lists the
+//!   binary for each figure and table).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

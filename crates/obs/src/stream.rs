@@ -30,7 +30,6 @@
 //! makes the streamed path byte-equivalent to
 //! [`crate::ObsReport::to_jsonl`].
 
-use std::fmt::Write as _;
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 
@@ -51,6 +50,20 @@ struct StreamInner {
     /// (streaming is pure output — it must never panic a run).
     failed: bool,
     lines: u64,
+    /// The line being written, reused across lines and flushes.
+    line: Vec<u8>,
+}
+
+impl StreamInner {
+    /// Writes the buffered line and its newline in one `write_all`.
+    fn emit_line(&mut self) {
+        self.line.push(b'\n');
+        if self.out.write_all(&self.line).is_err() {
+            self.failed = true;
+        } else {
+            self.lines += 1;
+        }
+    }
 }
 
 /// A shared, thread-safe JSONL sink. Clones share the underlying writer,
@@ -99,6 +112,7 @@ impl StreamSink {
                 out,
                 failed: false,
                 lines: 0,
+                line: Vec::with_capacity(128),
             })),
         }
     }
@@ -120,17 +134,6 @@ impl StreamSink {
         lock(&self.inner).lines
     }
 
-    fn write_line(inner: &mut StreamInner, line: &str) {
-        if inner.failed {
-            return;
-        }
-        if writeln!(inner.out, "{line}").is_err() {
-            inner.failed = true;
-        } else {
-            inner.lines += 1;
-        }
-    }
-
     /// Serializes one barrier's worth of trace records, assigning
     /// per-shard sequence numbers from `seq` in push order, and clears the
     /// ring. Dropped-record counts stay in the ring (they surface through
@@ -139,35 +142,40 @@ impl StreamSink {
         if ring.pending().is_empty() {
             return;
         }
-        let mut inner = lock(&self.inner);
-        let mut line = String::with_capacity(96);
+        let inner = &mut *lock(&self.inner);
         for rec in ring.pending() {
-            line.clear();
-            render_line_into(&mut line, rec, *seq);
+            if !inner.failed {
+                inner.line.clear();
+                render_line_into(&mut inner.line, rec, *seq);
+                inner.emit_line();
+            }
             *seq += 1;
-            Self::write_line(&mut inner, &line);
         }
-        drop(inner);
         ring.clear_pending();
     }
 
     /// Emits a cumulative-counters meta line for one shard (skipped by
     /// trace consumers; `obs_query` can plot counter series from these).
     pub fn write_metrics(&self, at: Nanos, shard: u16, metrics: &MetricsShard) {
-        let mut line = String::with_capacity(96);
-        let _ = write!(
-            line,
-            "{{\"meta\":\"metrics\",\"at\":{},\"shard\":{shard},\"c\":[",
-            at.as_nanos()
-        );
-        for (i, c) in metrics.counters().iter().enumerate() {
-            if i > 0 {
-                line.push(',');
-            }
-            let _ = write!(line, "{c}");
+        let inner = &mut *lock(&self.inner);
+        if inner.failed {
+            return;
         }
-        line.push_str("]}");
-        Self::write_line(&mut lock(&self.inner), &line);
+        let line = &mut inner.line;
+        line.clear();
+        line.extend_from_slice(b"{\"meta\":\"metrics\",\"at\":");
+        push_decimal(line, at.as_nanos());
+        line.extend_from_slice(b",\"shard\":");
+        push_decimal(line, shard as u64);
+        line.extend_from_slice(b",\"c\":[");
+        for (i, &c) in metrics.counters().iter().enumerate() {
+            if i > 0 {
+                line.push(b',');
+            }
+            push_decimal(line, c);
+        }
+        line.extend_from_slice(b"]}");
+        inner.emit_line();
     }
 
     /// Flushes the underlying writer (end of run, and before a snapshot is
@@ -202,16 +210,38 @@ fn kind_tag(kind: &TraceKind) -> &'static str {
     }
 }
 
-fn render_line_into(out: &mut String, rec: &TraceRecord, seq: u64) {
-    let _ = write!(
-        out,
-        "{{\"at\":{},\"shard\":{},\"seq\":{seq},\"k\":\"{}\"",
-        rec.at.as_nanos(),
-        rec.shard,
-        kind_tag(&rec.kind)
-    );
+/// Appends `v` in decimal: the digits `core::fmt` prints, without its
+/// formatting machinery (the stream renders tens of thousands of lines a
+/// run).
+fn push_decimal(out: &mut Vec<u8>, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[start..]);
+}
+
+fn render_line_into(out: &mut Vec<u8>, rec: &TraceRecord, seq: u64) {
+    out.extend_from_slice(b"{\"at\":");
+    push_decimal(out, rec.at.as_nanos());
+    out.extend_from_slice(b",\"shard\":");
+    push_decimal(out, rec.shard as u64);
+    out.extend_from_slice(b",\"seq\":");
+    push_decimal(out, seq);
+    out.extend_from_slice(b",\"k\":\"");
+    out.extend_from_slice(kind_tag(&rec.kind).as_bytes());
+    out.push(b'"');
     let mut f = |name: &str, v: u64| {
-        let _ = write!(out, ",\"{name}\":{v}");
+        out.extend_from_slice(b",\"");
+        out.extend_from_slice(name.as_bytes());
+        out.extend_from_slice(b"\":");
+        push_decimal(out, v);
     };
     match rec.kind {
         TraceKind::Enqueue { bundle } => f("bundle", bundle as u64),
@@ -325,14 +355,14 @@ fn render_line_into(out: &mut String, rec: &TraceRecord, seq: u64) {
             f("rate_bps", rate_bps);
         }
     }
-    out.push('}');
+    out.push(b'}');
 }
 
 /// Renders one record as its canonical stream line (no trailing newline).
 pub fn render_line(rec: &TraceRecord, seq: u64) -> String {
-    let mut s = String::with_capacity(96);
-    render_line_into(&mut s, rec, seq);
-    s
+    let mut line = Vec::with_capacity(128);
+    render_line_into(&mut line, rec, seq);
+    String::from_utf8(line).expect("stream lines are ASCII")
 }
 
 /// One parsed stream line: the record (with `wall_ns` zeroed — the stream
@@ -478,6 +508,7 @@ pub fn sort_canonical(records: &mut [StreamedRecord]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::CounterId;
 
     fn rec(at: u64, shard: u16, kind: TraceKind) -> TraceRecord {
         TraceRecord {
@@ -573,6 +604,199 @@ mod tests {
         }
     }
 
+    /// One record of every kind with every field set to `v`, narrowed
+    /// fields saturating at their type's maximum.
+    fn every_kind_at(v: u64) -> Vec<TraceKind> {
+        let v8 = v.min(u8::MAX as u64) as u8;
+        let v16 = v.min(u16::MAX as u64) as u16;
+        let v32 = v.min(u32::MAX as u64) as u32;
+        vec![
+            TraceKind::Enqueue { bundle: v32 },
+            TraceKind::Dequeue {
+                bundle: v32,
+                sojourn_ns: v,
+            },
+            TraceKind::Drop { bundle: v32 },
+            TraceKind::ModeChange {
+                bundle: v32,
+                mode: v8,
+            },
+            TraceKind::RateChange {
+                bundle: v32,
+                rate_bps: v,
+            },
+            TraceKind::Epoch {
+                bundle: v32,
+                size_pkts: v,
+            },
+            TraceKind::Migration {
+                bundle: v32,
+                from: v16,
+                to: v16,
+                pkts: v,
+                bytes: v,
+            },
+            TraceKind::WorkerWindow {
+                windex: v,
+                width_ns: v,
+                busy_ns: v,
+                stall_ns: v,
+                events: v,
+            },
+            TraceKind::NetPhase {
+                windex: v,
+                width_ns: v,
+                wall_dur_ns: v,
+                events: v,
+            },
+            TraceKind::FluidLevel {
+                path: v32,
+                backlog_bytes: v,
+                rate_bps: v,
+            },
+            TraceKind::FlowAdmit {
+                flow: v,
+                bundle: v32,
+                size_bytes: v,
+            },
+            TraceKind::FlowSendbox {
+                flow: v,
+                sojourn_ns: v,
+            },
+            TraceKind::FlowBottleneck {
+                flow: v,
+                sojourn_ns: v,
+            },
+            TraceKind::FlowEnd {
+                flow: v,
+                fct_ns: v,
+                sendbox_ns: v,
+                slowdown_milli: v,
+            },
+            TraceKind::Health {
+                kind: v8,
+                subject: v32,
+                value: v,
+            },
+            TraceKind::FluidAgg {
+                agg: v32,
+                path: v32,
+                rate_bps: v,
+            },
+        ]
+    }
+
+    /// The exact bytes of every record kind at field values 0, 9, 10 and
+    /// `u64::MAX`, then one metrics meta line. Pinned from the
+    /// `core::fmt` renderer, so any change of digits, spacing or field
+    /// order in the line protocol fails here, not only in a round trip.
+    const GOLDEN: &str = r#"{"at":0,"shard":0,"seq":0,"k":"enq","bundle":0}
+{"at":0,"shard":0,"seq":0,"k":"deq","bundle":0,"sojourn_ns":0}
+{"at":0,"shard":0,"seq":0,"k":"drop","bundle":0}
+{"at":0,"shard":0,"seq":0,"k":"mode","bundle":0,"mode":0}
+{"at":0,"shard":0,"seq":0,"k":"rate","bundle":0,"rate_bps":0}
+{"at":0,"shard":0,"seq":0,"k":"epoch","bundle":0,"size_pkts":0}
+{"at":0,"shard":0,"seq":0,"k":"migrate","bundle":0,"from":0,"to":0,"pkts":0,"bytes":0}
+{"at":0,"shard":0,"seq":0,"k":"window","windex":0,"width_ns":0,"busy_ns":0,"stall_ns":0,"events":0}
+{"at":0,"shard":0,"seq":0,"k":"netphase","windex":0,"width_ns":0,"wall_dur_ns":0,"events":0}
+{"at":0,"shard":0,"seq":0,"k":"fluid","path":0,"backlog_bytes":0,"rate_bps":0}
+{"at":0,"shard":0,"seq":0,"k":"flow_admit","flow":0,"bundle":0,"size_bytes":0}
+{"at":0,"shard":0,"seq":0,"k":"flow_sendbox","flow":0,"sojourn_ns":0}
+{"at":0,"shard":0,"seq":0,"k":"flow_bn","flow":0,"sojourn_ns":0}
+{"at":0,"shard":0,"seq":0,"k":"flow_end","flow":0,"fct_ns":0,"sendbox_ns":0,"slowdown_milli":0}
+{"at":0,"shard":0,"seq":0,"k":"health","kind":0,"subject":0,"value":0}
+{"at":0,"shard":0,"seq":0,"k":"fluid_agg","agg":0,"path":0,"rate_bps":0}
+{"at":9,"shard":9,"seq":9,"k":"enq","bundle":9}
+{"at":9,"shard":9,"seq":9,"k":"deq","bundle":9,"sojourn_ns":9}
+{"at":9,"shard":9,"seq":9,"k":"drop","bundle":9}
+{"at":9,"shard":9,"seq":9,"k":"mode","bundle":9,"mode":9}
+{"at":9,"shard":9,"seq":9,"k":"rate","bundle":9,"rate_bps":9}
+{"at":9,"shard":9,"seq":9,"k":"epoch","bundle":9,"size_pkts":9}
+{"at":9,"shard":9,"seq":9,"k":"migrate","bundle":9,"from":9,"to":9,"pkts":9,"bytes":9}
+{"at":9,"shard":9,"seq":9,"k":"window","windex":9,"width_ns":9,"busy_ns":9,"stall_ns":9,"events":9}
+{"at":9,"shard":9,"seq":9,"k":"netphase","windex":9,"width_ns":9,"wall_dur_ns":9,"events":9}
+{"at":9,"shard":9,"seq":9,"k":"fluid","path":9,"backlog_bytes":9,"rate_bps":9}
+{"at":9,"shard":9,"seq":9,"k":"flow_admit","flow":9,"bundle":9,"size_bytes":9}
+{"at":9,"shard":9,"seq":9,"k":"flow_sendbox","flow":9,"sojourn_ns":9}
+{"at":9,"shard":9,"seq":9,"k":"flow_bn","flow":9,"sojourn_ns":9}
+{"at":9,"shard":9,"seq":9,"k":"flow_end","flow":9,"fct_ns":9,"sendbox_ns":9,"slowdown_milli":9}
+{"at":9,"shard":9,"seq":9,"k":"health","kind":9,"subject":9,"value":9}
+{"at":9,"shard":9,"seq":9,"k":"fluid_agg","agg":9,"path":9,"rate_bps":9}
+{"at":10,"shard":10,"seq":10,"k":"enq","bundle":10}
+{"at":10,"shard":10,"seq":10,"k":"deq","bundle":10,"sojourn_ns":10}
+{"at":10,"shard":10,"seq":10,"k":"drop","bundle":10}
+{"at":10,"shard":10,"seq":10,"k":"mode","bundle":10,"mode":10}
+{"at":10,"shard":10,"seq":10,"k":"rate","bundle":10,"rate_bps":10}
+{"at":10,"shard":10,"seq":10,"k":"epoch","bundle":10,"size_pkts":10}
+{"at":10,"shard":10,"seq":10,"k":"migrate","bundle":10,"from":10,"to":10,"pkts":10,"bytes":10}
+{"at":10,"shard":10,"seq":10,"k":"window","windex":10,"width_ns":10,"busy_ns":10,"stall_ns":10,"events":10}
+{"at":10,"shard":10,"seq":10,"k":"netphase","windex":10,"width_ns":10,"wall_dur_ns":10,"events":10}
+{"at":10,"shard":10,"seq":10,"k":"fluid","path":10,"backlog_bytes":10,"rate_bps":10}
+{"at":10,"shard":10,"seq":10,"k":"flow_admit","flow":10,"bundle":10,"size_bytes":10}
+{"at":10,"shard":10,"seq":10,"k":"flow_sendbox","flow":10,"sojourn_ns":10}
+{"at":10,"shard":10,"seq":10,"k":"flow_bn","flow":10,"sojourn_ns":10}
+{"at":10,"shard":10,"seq":10,"k":"flow_end","flow":10,"fct_ns":10,"sendbox_ns":10,"slowdown_milli":10}
+{"at":10,"shard":10,"seq":10,"k":"health","kind":10,"subject":10,"value":10}
+{"at":10,"shard":10,"seq":10,"k":"fluid_agg","agg":10,"path":10,"rate_bps":10}
+{"at":18446744073709551615,"shard":65535,"seq":18446744073709551615,"k":"enq","bundle":4294967295}
+{"at":18446744073709551615,"shard":65535,"seq":18446744073709551615,"k":"deq","bundle":4294967295,"sojourn_ns":18446744073709551615}
+{"at":18446744073709551615,"shard":65535,"seq":18446744073709551615,"k":"drop","bundle":4294967295}
+{"at":18446744073709551615,"shard":65535,"seq":18446744073709551615,"k":"mode","bundle":4294967295,"mode":255}
+{"at":18446744073709551615,"shard":65535,"seq":18446744073709551615,"k":"rate","bundle":4294967295,"rate_bps":18446744073709551615}
+{"at":18446744073709551615,"shard":65535,"seq":18446744073709551615,"k":"epoch","bundle":4294967295,"size_pkts":18446744073709551615}
+{"at":18446744073709551615,"shard":65535,"seq":18446744073709551615,"k":"migrate","bundle":4294967295,"from":65535,"to":65535,"pkts":18446744073709551615,"bytes":18446744073709551615}
+{"at":18446744073709551615,"shard":65535,"seq":18446744073709551615,"k":"window","windex":18446744073709551615,"width_ns":18446744073709551615,"busy_ns":18446744073709551615,"stall_ns":18446744073709551615,"events":18446744073709551615}
+{"at":18446744073709551615,"shard":65535,"seq":18446744073709551615,"k":"netphase","windex":18446744073709551615,"width_ns":18446744073709551615,"wall_dur_ns":18446744073709551615,"events":18446744073709551615}
+{"at":18446744073709551615,"shard":65535,"seq":18446744073709551615,"k":"fluid","path":4294967295,"backlog_bytes":18446744073709551615,"rate_bps":18446744073709551615}
+{"at":18446744073709551615,"shard":65535,"seq":18446744073709551615,"k":"flow_admit","flow":18446744073709551615,"bundle":4294967295,"size_bytes":18446744073709551615}
+{"at":18446744073709551615,"shard":65535,"seq":18446744073709551615,"k":"flow_sendbox","flow":18446744073709551615,"sojourn_ns":18446744073709551615}
+{"at":18446744073709551615,"shard":65535,"seq":18446744073709551615,"k":"flow_bn","flow":18446744073709551615,"sojourn_ns":18446744073709551615}
+{"at":18446744073709551615,"shard":65535,"seq":18446744073709551615,"k":"flow_end","flow":18446744073709551615,"fct_ns":18446744073709551615,"sendbox_ns":18446744073709551615,"slowdown_milli":18446744073709551615}
+{"at":18446744073709551615,"shard":65535,"seq":18446744073709551615,"k":"health","kind":255,"subject":4294967295,"value":18446744073709551615}
+{"at":18446744073709551615,"shard":65535,"seq":18446744073709551615,"k":"fluid_agg","agg":4294967295,"path":4294967295,"rate_bps":18446744073709551615}
+{"meta":"metrics","at":18446744073709551615,"shard":9,"c":[0,9,10,18446744073709551615,0,0,0,0,0,0,0,0]}
+"#;
+
+    #[test]
+    fn stream_bytes_match_the_golden_lines() {
+        let records: Vec<(TraceRecord, u64)> = [0, 9, 10, u64::MAX]
+            .into_iter()
+            .flat_map(|v| {
+                let shard = v.min(u16::MAX as u64) as u16;
+                every_kind_at(v)
+                    .into_iter()
+                    .map(move |k| (rec(v, shard, k), v))
+            })
+            .collect();
+        let mut text = String::new();
+        for (r, seq) in &records {
+            text.push_str(&render_line(r, *seq));
+            text.push('\n');
+        }
+        let (sink, buf) = StreamSink::to_shared_vec();
+        let mut m = MetricsShard::default();
+        m.add(CounterId::SendboxDropped, 9);
+        m.add(CounterId::AqmDrops, 10);
+        m.add(CounterId::CodelDropEntries, u64::MAX);
+        sink.write_metrics(Nanos(u64::MAX), 9, &m);
+        text.push_str(&buf.contents());
+        assert_eq!(text, GOLDEN);
+
+        // The sink writes exactly the rendered line plus a newline.
+        let (sink, buf) = StreamSink::to_shared_vec();
+        let mut ring = TraceRing::with_capacity(records.len(), records.len());
+        let mut expected = String::new();
+        for (i, (r, _)) in records.iter().enumerate() {
+            ring.push(*r);
+            expected.push_str(&render_line(r, i as u64));
+            expected.push('\n');
+        }
+        let mut seq = 0;
+        sink.flush_ring(&mut ring, &mut seq);
+        assert_eq!(buf.contents(), expected);
+        assert_eq!(sink.lines(), records.len() as u64);
+    }
+
     #[test]
     fn meta_and_garbage_lines_are_skipped() {
         assert!(parse_line("").is_none());
@@ -603,6 +827,65 @@ mod tests {
         assert_eq!(parsed[3].seq, 3);
         assert_eq!(parsed[3].rec.kind, TraceKind::Drop { bundle: 9 });
         assert_eq!(sink.lines(), 4);
+    }
+
+    /// Accepts `ok_writes` writes into a shared buffer, then fails every
+    /// call (counting them).
+    struct FailingWriter {
+        buf: SharedBuf,
+        ok_writes: usize,
+        calls: Arc<Mutex<usize>>,
+    }
+
+    impl Write for FailingWriter {
+        fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
+            let mut calls = lock(&self.calls);
+            *calls += 1;
+            if *calls > self.ok_writes {
+                return Err(std::io::Error::other("disk full"));
+            }
+            self.buf.write(data)
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Err(std::io::Error::other("disk full"))
+        }
+    }
+
+    #[test]
+    fn a_write_error_mid_flush_makes_the_sink_quiet() {
+        let buf = SharedBuf::default();
+        let calls = Arc::new(Mutex::new(0));
+        let sink = StreamSink::new(Box::new(FailingWriter {
+            buf: buf.clone(),
+            ok_writes: 2,
+            calls: calls.clone(),
+        }));
+        let mut ring = TraceRing::with_capacity(8, 8);
+        for i in 0..5u64 {
+            ring.push(rec(i, 0, TraceKind::Drop { bundle: i as u32 }));
+        }
+        let mut seq = 0;
+        sink.flush_ring(&mut ring, &mut seq);
+        // Sequence numbers stay in step with the ring even when lines are
+        // lost, and the ring is still cleared.
+        assert_eq!(seq, 5);
+        assert!(ring.is_empty());
+        assert_eq!(sink.lines(), 2);
+        assert_eq!(*lock(&calls), 3, "writes continued after the first error");
+
+        // Later flushes, meta lines and the final flush stay silent.
+        ring.push(rec(9, 0, TraceKind::Drop { bundle: 9 }));
+        sink.flush_ring(&mut ring, &mut seq);
+        sink.write_metrics(Nanos(9), 0, &MetricsShard::default());
+        sink.flush_io();
+        assert_eq!(seq, 6);
+        assert_eq!(sink.lines(), 2);
+        assert_eq!(*lock(&calls), 3);
+        let text = buf.contents();
+        let expected: Vec<String> = (0..2u64)
+            .map(|i| render_line(&rec(i, 0, TraceKind::Drop { bundle: i as u32 }), i))
+            .collect();
+        assert_eq!(text.lines().collect::<Vec<_>>(), expected);
     }
 
     #[test]

@@ -146,8 +146,7 @@ mod tests {
         );
         // Throughput must stay in the same ballpark as the status quo (the
         // single-flow microbenchmark is the worst case for edge queueing:
-        // one Cubic flow repeatedly dumps its whole window into the sendbox;
-        // EXPERIMENTS.md discusses the gap against the paper).
+        // one Cubic flow repeatedly dumps its whole window into the sendbox).
         assert!(
             result.bundler_throughput_mbps > 0.55 * result.status_quo_throughput_mbps,
             "throughput {:.1} vs {:.1}",

@@ -13,6 +13,7 @@ use bundler_types::{Duration, FlowId, Nanos, Rate, TrafficClass};
 use rand::rngs::SmallRng;
 use rand::Rng;
 use serde::binary::{Decode, DecodeError, Encode, Reader};
+use std::sync::OnceLock;
 
 /// Where a flow's packets enter the network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,6 +129,8 @@ impl FlowSpec {
 pub struct FlowSizeDist {
     /// (size_bytes, cumulative_probability), strictly increasing in both.
     points: Vec<(u64, f64)>,
+    /// Mean flow size in bytes, integrated once at construction.
+    mean: f64,
 }
 
 impl FlowSizeDist {
@@ -151,47 +154,64 @@ impl FlowSizeDist {
         if (points.last().unwrap().1 - 1.0).abs() > 1e-9 {
             return Err("last point must have cumulative probability 1.0".into());
         }
-        Ok(FlowSizeDist { points })
+        let mut dist = FlowSizeDist { points, mean: 0.0 };
+        dist.mean = dist.integrate_mean();
+        Ok(dist)
+    }
+
+    /// Builds a built-in table once per process and hands out clones, so
+    /// its mean is integrated once.
+    fn built_in(cell: &'static OnceLock<FlowSizeDist>, points: &[(u64, f64)]) -> Self {
+        cell.get_or_init(|| {
+            FlowSizeDist::new(points.to_vec()).expect("static distribution is valid")
+        })
+        .clone()
     }
 
     /// The synthetic CAIDA-like request-size distribution described in §7.1:
     /// heavily skewed towards small requests with a tail of multi-megabyte
     /// transfers up to 100 MB.
     pub fn caida_like() -> Self {
-        FlowSizeDist::new(vec![
-            (150, 0.20),
-            (300, 0.40),
-            (600, 0.55),
-            (1_200, 0.68),
-            (2_500, 0.80),
-            (5_000, 0.90),
-            (7_500, 0.95),
-            (10_000, 0.976),
-            (30_000, 0.990),
-            (100_000, 0.9965),
-            (300_000, 0.99875),
-            (1_000_000, 0.99960),
-            (5_000_000, 0.99998),
-            (20_000_000, 0.999993),
-            (50_000_000, 0.999998),
-            (100_000_000, 1.0),
-        ])
-        .expect("static distribution is valid")
+        static CAIDA: OnceLock<FlowSizeDist> = OnceLock::new();
+        FlowSizeDist::built_in(
+            &CAIDA,
+            &[
+                (150, 0.20),
+                (300, 0.40),
+                (600, 0.55),
+                (1_200, 0.68),
+                (2_500, 0.80),
+                (5_000, 0.90),
+                (7_500, 0.95),
+                (10_000, 0.976),
+                (30_000, 0.990),
+                (100_000, 0.9965),
+                (300_000, 0.99875),
+                (1_000_000, 0.99960),
+                (5_000_000, 0.99998),
+                (20_000_000, 0.999993),
+                (50_000_000, 0.999998),
+                (100_000_000, 1.0),
+            ],
+        )
     }
 
     /// A distribution of exclusively short flows (≤ a few MB), used for the
     /// "mix of flow sizes" cross-traffic experiment (Figure 11).
     pub fn short_flows_only() -> Self {
-        FlowSizeDist::new(vec![
-            (300, 0.35),
-            (1_000, 0.60),
-            (5_000, 0.85),
-            (10_000, 0.95),
-            (100_000, 0.99),
-            (1_000_000, 0.999),
-            (3_000_000, 1.0),
-        ])
-        .expect("static distribution is valid")
+        static SHORT: OnceLock<FlowSizeDist> = OnceLock::new();
+        FlowSizeDist::built_in(
+            &SHORT,
+            &[
+                (300, 0.35),
+                (1_000, 0.60),
+                (5_000, 0.85),
+                (10_000, 0.95),
+                (100_000, 0.99),
+                (1_000_000, 0.999),
+                (3_000_000, 1.0),
+            ],
+        )
     }
 
     /// Samples one flow size.
@@ -223,8 +243,13 @@ impl FlowSizeDist {
         self.points.last().unwrap().0
     }
 
-    /// Mean flow size, computed by numerically integrating the inverse CDF.
+    /// Mean flow size in bytes.
     pub fn mean_bytes(&self) -> f64 {
+        self.mean
+    }
+
+    /// Mean flow size by a 100,000-step midpoint sum over the inverse CDF.
+    fn integrate_mean(&self) -> f64 {
         let steps = 100_000;
         let mut acc = 0.0;
         for i in 0..steps {
@@ -285,6 +310,7 @@ impl PoissonArrivals {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::SeedableRng;
 
     #[test]
@@ -321,6 +347,52 @@ mod tests {
         assert!(d.quantile(0.5) < 1_000);
         assert!(mean > 2_000.0, "mean {mean}");
         assert!(mean < 100_000.0, "mean {mean}");
+    }
+
+    #[test]
+    fn built_in_means_are_pinned() {
+        // Bit patterns of the 100,000-step integration: arrival gaps, and
+        // so every scenario digest, depend on these exact values.
+        let caida = FlowSizeDist::caida_like().mean_bytes();
+        let short = FlowSizeDist::short_flows_only().mean_bytes();
+        assert_eq!(
+            caida.to_bits(),
+            0x40b0_6b12_ee63_1f8a,
+            "caida_like mean {caida}"
+        );
+        assert_eq!(
+            short.to_bits(),
+            0x40c0_7d9b_7026_02c9,
+            "short_flows_only mean {short}"
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The mean carried by a distribution is the fresh integration of
+        /// its points, and a clone carries the same value.
+        #[test]
+        fn cached_mean_is_the_integrated_mean(
+            steps in proptest::collection::vec((1u64..50_000, 1e-3f64..1.0), 1..12)
+        ) {
+            // Running sums of positive steps, normalised so the last
+            // probability is exactly 1.0: always a valid point set.
+            let mut size = 0u64;
+            let mut weight = 0.0;
+            let sums: Vec<(u64, f64)> = steps
+                .into_iter()
+                .map(|(ds, dw)| {
+                    size += ds;
+                    weight += dw;
+                    (size, weight)
+                })
+                .collect();
+            let points = sums.iter().map(|&(s, w)| (s, w / weight)).collect();
+            let dist = FlowSizeDist::new(points).expect("valid point set");
+            prop_assert_eq!(dist.mean_bytes().to_bits(), dist.integrate_mean().to_bits());
+            prop_assert_eq!(dist.clone().mean_bytes().to_bits(), dist.mean_bytes().to_bits());
+        }
     }
 
     #[test]
