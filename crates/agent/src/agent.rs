@@ -15,13 +15,13 @@
 //! * **Telemetry**: uniform per-bundle snapshots for export.
 
 use bundler_core::feedback::{BundleId, CongestionAck};
+use bundler_core::wheel::TimerWheel;
 use bundler_core::{BundlerConfig, FnvHashMap, Sendbox, SendboxOutput, SendboxTelemetry};
 use bundler_types::{Duration, FlowKey, IpPrefix, Nanos, Packet};
 use serde::binary::{Decode, DecodeError, Encode, Reader};
 
 use crate::classifier::PrefixClassifier;
 use crate::telemetry::{AgentTelemetry, BundleTelemetry};
-use crate::wheel::TimerWheel;
 
 /// Agent-wide tunables.
 #[derive(Debug, Clone, Copy)]

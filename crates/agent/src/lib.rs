@@ -8,9 +8,9 @@
 //! * [`classifier`] — a longest-prefix-match table mapping each packet's
 //!   destination address to its bundle, consulted once per packet on the
 //!   forwarding fast path.
-//! * [`wheel`] — a hierarchical timer wheel that batches the per-bundle
-//!   control ticks, making an agent tick O(due bundles) instead of O(all
-//!   bundles).
+//! * [`TimerWheel`](bundler_core::wheel::TimerWheel) — a hierarchical
+//!   timer wheel (from `bundler_core`) that batches the per-bundle control
+//!   ticks, making an agent tick O(due bundles) instead of O(all bundles).
 //! * [`telemetry`] — uniform per-bundle snapshots (rate, mode, RTT, epoch
 //!   and counter state) for export.
 //!
@@ -26,9 +26,7 @@
 pub mod agent;
 pub mod classifier;
 pub mod telemetry;
-pub mod wheel;
 
 pub use agent::{AgentConfig, AgentStats, BundleTick, DetachedBundle, SiteAgent};
 pub use classifier::PrefixClassifier;
 pub use telemetry::{AgentTelemetry, BundleTelemetry};
-pub use wheel::TimerWheel;

@@ -403,14 +403,15 @@ impl EventQueue {
     ///
     /// Within one `(timestamp, lp)` pair keys are totally ordered by the
     /// LP's own sequence, so the run is exactly the consecutive prefix of
-    /// the canonical order — handler dispatch and per-LP state lookups
-    /// amortize over the whole run. Callers that interleave scheduling with
-    /// consumption (the simulation main loop) must still merge newly
-    /// scheduled events against the buffered run: a handler can schedule a
+    /// the canonical order. The simulation main loop does not use it: it
+    /// pops one event at a time, since each event is dispatched on its own
+    /// and batching amortized nothing. `pop_run` stays for the
+    /// benchmark's event-queue probe and as the test oracle of the retired
+    /// batching loop. A caller that schedules while consuming a run must
+    /// merge new events against the buffer: a handler can schedule a
     /// *different* LP's event at the same timestamp with a key that sorts
     /// before the rest of the run. Same-LP events scheduled mid-run always
-    /// carry higher sequences and sort after the run, so the run itself
-    /// never goes stale.
+    /// carry higher sequences and sort after the run.
     pub fn pop_run(&mut self, buf: &mut Vec<(Nanos, EventKey, Event)>) -> usize {
         buf.clear();
         let Some((t0, k0)) = self.peek() else {

@@ -384,60 +384,25 @@ impl Simulation {
             }
             _ => None,
         };
-        // The loop drains the queue in whole `(timestamp, lp)` *runs*
-        // (`EventQueue::pop_run`) so dispatch amortizes over consecutive
-        // same-LP events, but stays byte-identical to one-at-a-time pops:
-        // before consuming each buffered event it checks whether a handler
-        // scheduled a *different* LP's event at the same timestamp with a
-        // smaller key (e.g. a worker run emitting net-LP arrivals — the net
-        // LP is 0 and sorts first), and interleaves it at exactly the spot
-        // a per-pop loop would have. Same-LP events scheduled mid-run carry
-        // higher sequences and sort after the buffered run by construction.
-        let mut run: Vec<(Nanos, crate::event::EventKey, Event)> = Vec::with_capacity(64);
-        let mut run_idx = 0;
-        loop {
-            if run_idx == run.len() {
-                // Buffer drained: checkpoint boundaries and run refills
-                // only happen here, where queue state equals loop state.
-                let Some((peek_t, _)) = self.queue.peek() else {
-                    break;
-                };
-                if let Some((iv, at)) = next_ckpt {
-                    if at < end && peek_t >= at {
-                        // Every event before `at` has been processed and
-                        // none at or after it — the state *is* the state
-                        // at `at`.
-                        let blob = self.snapshot(at);
-                        if let Some(sink) = sink.as_deref_mut() {
-                            sink(at, blob);
-                        }
-                        next_ckpt = Some((iv, at + Duration(iv)));
-                        continue;
+        // One event per iteration, in canonical `(timestamp, key)` order:
+        // peek, take any checkpoint that is due, stop at `end`, pop and
+        // dispatch. Checkpoints fall between two pops, where every event
+        // before `at` has been processed and none at or after it.
+        while let Some((peek_t, _)) = self.queue.peek() {
+            if let Some((iv, at)) = next_ckpt {
+                if at < end && peek_t >= at {
+                    let blob = self.snapshot(at);
+                    if let Some(sink) = sink.as_deref_mut() {
+                        sink(at, blob);
                     }
-                }
-                if self.queue.pop_run(&mut run) == 0 {
-                    break;
-                }
-                run_idx = 0;
-                if run[0].0 >= end {
-                    break;
+                    next_ckpt = Some((iv, at + Duration(iv)));
+                    continue;
                 }
             }
-            let (t, key, _) = run[run_idx];
-            let (now, event) = match self.queue.peek() {
-                Some((qt, qk)) if (qt, qk) < (t, key) => {
-                    let (qt, e) = self.queue.pop().expect("peeked event must pop");
-                    (qt, e)
-                }
-                _ => {
-                    let (_, _, e) = run[run_idx];
-                    run_idx += 1;
-                    (t, e)
-                }
-            };
-            if now >= end {
+            if peek_t >= end {
                 break;
             }
+            let (now, event) = self.queue.pop().expect("peeked event must pop");
             if is_net_event(&event) {
                 self.net.handle(
                     event,
@@ -721,11 +686,51 @@ mod tests {
         );
     }
 
-    /// The pre-`pop_run` main loop, event for event: pop one, handle one.
-    /// Kept verbatim as the reference for the A/B test below.
-    fn run_one_at_a_time(mut sim: Simulation) -> SimReport {
+    /// The retired batching main loop, kept only as a test oracle for the
+    /// one-pop loop in `run_inner`: it drains whole `(timestamp, lp)` runs
+    /// with [`EventQueue::pop_run`] and merges events that handlers schedule
+    /// mid-run back in at the spot a per-pop loop would reach them.
+    /// Checkpoints (into `ckpts`, when `checkpoint_every` is set) are taken
+    /// only with the run buffer drained.
+    fn run_pop_run_loop(mut sim: Simulation, ckpts: &mut Vec<(Nanos, Vec<u8>)>) -> SimReport {
         let end = Nanos::ZERO + sim.config.duration;
-        while let Some((now, event)) = sim.queue.pop() {
+        let mut next_ckpt = sim.config.checkpoint_every.map(|iv| {
+            let iv = iv.as_nanos();
+            (iv, Nanos((sim.start.as_nanos() / iv + 1) * iv))
+        });
+        let mut run: Vec<(Nanos, crate::event::EventKey, Event)> = Vec::new();
+        let mut run_idx = 0;
+        loop {
+            if run_idx == run.len() {
+                let Some((peek_t, _)) = sim.queue.peek() else {
+                    break;
+                };
+                if let Some((iv, at)) = next_ckpt {
+                    if at < end && peek_t >= at {
+                        ckpts.push((at, sim.snapshot(at)));
+                        next_ckpt = Some((iv, at + Duration(iv)));
+                        continue;
+                    }
+                }
+                if sim.queue.pop_run(&mut run) == 0 {
+                    break;
+                }
+                run_idx = 0;
+                if run[0].0 >= end {
+                    break;
+                }
+            }
+            let (t, key, _) = run[run_idx];
+            let (now, event) = match sim.queue.peek() {
+                Some((qt, qk)) if (qt, qk) < (t, key) => {
+                    sim.queue.pop().expect("peeked event must pop")
+                }
+                _ => {
+                    let (_, _, e) = run[run_idx];
+                    run_idx += 1;
+                    (t, e)
+                }
+            };
             if now >= end {
                 break;
             }
@@ -753,12 +758,35 @@ mod tests {
         sim.finalize()
     }
 
+    /// Runs `cfg` through the one-pop main loop and the retired `pop_run`
+    /// oracle, asserting identical digests and identical checkpoint blobs.
+    fn assert_loops_agree(cfg: SimulationConfig, workload: Vec<FlowSpec>, what: &str) {
+        use crate::stats::SimStats;
+        let mut ckpts = Vec::new();
+        let one_pop = SimStats::of(
+            &Simulation::new(cfg.clone(), workload.clone()).run_collecting(&mut ckpts),
+        );
+        let mut oracle_ckpts = Vec::new();
+        let oracle = SimStats::of(&run_pop_run_loop(
+            Simulation::new(cfg.clone(), workload),
+            &mut oracle_ckpts,
+        ));
+        assert!(one_pop.completed > 0, "{what}: the run must do real work");
+        assert_eq!(one_pop, oracle, "{what}");
+        if cfg.checkpoint_every.is_some() {
+            assert!(ckpts.len() >= 2, "{what}: {} checkpoints", ckpts.len());
+        }
+        assert!(ckpts == oracle_ckpts, "{what}: checkpoint blobs differ");
+    }
+
     #[test]
     fn pop_run_loop_matches_one_at_a_time_pops() {
-        use crate::stats::SimStats;
-        // Batched run-draining must be invisible: same workload, identical
-        // digest against the reference per-pop loop — with and without the
-        // fluid tier, on both engines.
+        use crate::scenario::fct::{FctScenario, SendboxMode};
+        use crate::scenario::many_sites::ManySitesScenario;
+        // The one-pop main loop must reproduce the retired `pop_run` +
+        // merge loop exactly: same digest, same checkpoint bytes — with and
+        // without the fluid tier on both engines, then across seeds in
+        // classic (per-bundle) and multi-bundle (site agent) modes.
         let workload = || {
             vec![
                 FlowSpec::bundled(1, 400_000, Nanos::ZERO, 0),
@@ -767,6 +795,7 @@ mod tests {
                 FlowSpec::bundled(4, 40, Nanos::from_millis(10), 0).as_ping(),
             ]
         };
+        let every = Some(Duration::from_millis(500));
         for fluid in [false, true] {
             for engine in [EventEngine::CalendarWheel, EventEngine::BinaryHeap] {
                 let mut cfg = single_flow_config(true);
@@ -777,10 +806,36 @@ mod tests {
                         crate::fluid::FluidAggregate::new(16, Duration::from_millis(50)),
                     ]));
                 }
-                let batched = SimStats::of(&Simulation::new(cfg.clone(), workload()).run());
-                let single = SimStats::of(&run_one_at_a_time(Simulation::new(cfg, workload())));
-                assert_eq!(batched, single, "fluid={fluid} {engine:?}");
+                assert_loops_agree(
+                    cfg.clone(),
+                    workload(),
+                    &format!("fluid={fluid} {engine:?}"),
+                );
+                cfg.checkpoint_every = every;
+                assert_loops_agree(cfg, workload(), &format!("fluid={fluid} {engine:?} ckpt"));
             }
+        }
+        for seed in [3, 7, 11] {
+            let classic = FctScenario::builder()
+                .requests(120)
+                .seed(seed)
+                .background_bulk_flows(1)
+                .mode(SendboxMode::BundlerSfq)
+                .build();
+            let mut cfg = classic.sim_config();
+            cfg.checkpoint_every = every;
+            assert_loops_agree(cfg, classic.workload(), &format!("classic seed {seed}"));
+            let multi = ManySitesScenario::builder()
+                .sites(3)
+                .requests_per_site(6)
+                .offered_load_per_site(Rate::from_mbps(8))
+                .bottleneck(Rate::from_mbps(60))
+                .drain(Duration::from_secs(2))
+                .seed(seed)
+                .build();
+            let mut cfg = multi.sim_config();
+            cfg.checkpoint_every = every;
+            assert_loops_agree(cfg, multi.workload(), &format!("multi-bundle seed {seed}"));
         }
     }
 

@@ -582,6 +582,10 @@ impl TcpSender {
 pub struct TcpReceiver {
     recv_next: u64,
     out_of_order: BTreeMap<u64, u32>,
+    /// Highest `seq + len` inserted into `out_of_order` (derived, never
+    /// serialized). Drained entries end at or below `recv_next`, so
+    /// `recv_next.max(ooo_high)` equals the scan over the live buffer.
+    ooo_high: u64,
     /// Total payload bytes received (including duplicates).
     pub bytes_received: u64,
 }
@@ -600,13 +604,7 @@ impl TcpReceiver {
     /// The highest byte the receiver holds, counting out-of-order buffered
     /// data: the information a SACK-capable receiver would report.
     pub fn highest_received(&self) -> u64 {
-        let ooo_max = self
-            .out_of_order
-            .iter()
-            .map(|(&seq, &len)| seq + len as u64)
-            .max()
-            .unwrap_or(0);
-        self.recv_next.max(ooo_max)
+        self.recv_next.max(self.ooo_high)
     }
 
     /// Processes an arriving data segment and returns the cumulative ACK to
@@ -617,18 +615,33 @@ impl TcpReceiver {
             // In-order (or duplicate/overlapping) data.
             self.recv_next = self.recv_next.max(seq + len as u64);
             // Drain any now-contiguous buffered segments.
-            while let Some((&s, &l)) = self.out_of_order.iter().next() {
-                if s <= self.recv_next {
-                    self.recv_next = self.recv_next.max(s + l as u64);
-                    self.out_of_order.remove(&s);
-                } else {
+            while let Some(first) = self.out_of_order.first_entry() {
+                if *first.key() > self.recv_next {
                     break;
                 }
+                let (s, l) = first.remove_entry();
+                self.recv_next = self.recv_next.max(s + l as u64);
             }
         } else {
-            self.out_of_order.insert(seq, len);
+            let end = seq + len as u64;
+            match self.out_of_order.insert(seq, len) {
+                // A same-`seq` retransmit shrank the segment that held the
+                // maximum: the only case that needs a rescan.
+                Some(old) if seq + old as u64 == self.ooo_high && end < self.ooo_high => {
+                    self.ooo_high = Self::buffered_high(&self.out_of_order);
+                }
+                _ => self.ooo_high = self.ooo_high.max(end),
+            }
         }
         self.recv_next
+    }
+
+    /// The highest `seq + len` held in `buf` (0 when empty).
+    fn buffered_high(buf: &BTreeMap<u64, u32>) -> u64 {
+        buf.iter()
+            .map(|(&seq, &len)| seq + len as u64)
+            .max()
+            .unwrap_or(0)
     }
 
     /// Serializes the receiver's state.
@@ -640,9 +653,12 @@ impl TcpReceiver {
 
     /// Rebuilds a receiver from bytes written by [`TcpReceiver::save_state`].
     pub fn from_state(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let recv_next = u64::decode(r)?;
+        let out_of_order = BTreeMap::<u64, u32>::decode(r)?;
         Ok(TcpReceiver {
-            recv_next: u64::decode(r)?,
-            out_of_order: BTreeMap::<u64, u32>::decode(r)?,
+            recv_next,
+            ooo_high: Self::buffered_high(&out_of_order),
+            out_of_order,
             bytes_received: u64::decode(r)?,
         })
     }
@@ -769,6 +785,7 @@ impl TcpSender {
 mod tests {
     use super::*;
     use bundler_types::flow::ipv4;
+    use proptest::prelude::*;
 
     fn key() -> FlowKey {
         FlowKey::tcp(ipv4(10, 0, 0, 1), 40_000, ipv4(10, 1, 0, 1), 80)
@@ -946,6 +963,66 @@ mod tests {
         // Duplicate data does not regress.
         assert_eq!(r.on_data(0, 1000), 3000);
         assert_eq!(r.bytes_received, 4000);
+    }
+
+    /// The high-water mark by brute force: the definition the cached
+    /// `ooo_high` must reproduce.
+    fn brute_highest(r: &TcpReceiver) -> u64 {
+        r.out_of_order
+            .iter()
+            .map(|(&seq, &len)| seq + len as u64)
+            .fold(r.recv_next, u64::max)
+    }
+
+    fn round_trip(r: &TcpReceiver) -> TcpReceiver {
+        let mut bytes = Vec::new();
+        r.save_state(&mut bytes);
+        let mut reader = Reader::new(&bytes);
+        let back = TcpReceiver::from_state(&mut reader).expect("receiver state decodes");
+        assert!(reader.is_empty(), "trailing receiver bytes");
+        back
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// After every segment — in order, past a gap, duplicated, or a
+        /// same-`seq` retransmit longer or shorter than the buffered one —
+        /// `highest_received` equals the brute-force maximum, also after a
+        /// `save_state`/`from_state` round trip.
+        #[test]
+        fn highest_received_matches_a_full_scan(
+            ops in proptest::collection::vec((0u8..4, 0u64..12, 1u32..400, any::<bool>()), 1..80)
+        ) {
+            let mut r = TcpReceiver::new();
+            for (kind, pick, len, restore) in ops {
+                let seq = match kind {
+                    // In order.
+                    0 => r.recv_next,
+                    // Past a gap, or a duplicate of delivered data.
+                    1 => (r.recv_next + pick * 100).saturating_sub(300),
+                    // Same-`seq` retransmit of a buffered segment (the
+                    // highest one, which usually holds the maximum, or a
+                    // picked one).
+                    _ => {
+                        let keys: Vec<u64> = r.out_of_order.keys().copied().collect();
+                        match keys.len() {
+                            0 => r.recv_next + pick * 100,
+                            n if kind == 2 => keys[n - 1],
+                            n => keys[pick as usize % n],
+                        }
+                    }
+                };
+                r.on_data(seq, len);
+                prop_assert_eq!(r.highest_received(), brute_highest(&r));
+                let back = round_trip(&r);
+                prop_assert_eq!(back.highest_received(), brute_highest(&back));
+                prop_assert_eq!(back.highest_received(), r.highest_received());
+                if restore {
+                    r = back;
+                }
+            }
+        }
     }
 
     #[test]
